@@ -89,11 +89,13 @@ bench-docstore-check:
 	$(GO) test -run XXX -bench 'SearchParallel[0-9]' -benchtime 3s -benchmem ./internal/docstore | $(GO) run ./cmd/benchjson -compare BENCH_docstore.json -threshold $(BENCH_PARALLEL_THRESHOLD) -extra-threshold $(BENCH_PARALLEL_EXTRA_THRESHOLD)
 
 # Docstore write-path baseline: group-commit writers vs the serialized
-# one-fsync-per-op discipline the seed used, at 1/4/16 writers, plus the
-# WAL replay (recovery) benchmark. Writer p50/p99 latency and wal-syncs/op
-# land in the `extra` field of each line; archived for cross-PR diffing.
+# one-fsync-per-op discipline the seed used, at 1/4/16 writers, the WAL
+# replay (recovery) benchmark, and the 32k-doc bulk load into an in-memory
+# vs a durable store. Writer p50/p99 latency, wal-syncs/op, and the bulk
+# load's epochs/op and freezes/op land in the `extra` field of each line;
+# archived for cross-PR diffing.
 bench-wal:
-	$(GO) test -run XXX -bench 'PutParallel|WALReplay' -benchmem ./internal/docstore | $(GO) run ./cmd/benchjson | tee BENCH_wal.json
+	$(GO) test -run XXX -bench 'PutParallel|WALReplay|BulkLoad' -benchmem ./internal/docstore | $(GO) run ./cmd/benchjson | tee BENCH_wal.json
 
 # Write-path regression gate, two tiers like bench-docstore-check. WALReplay
 # is a serial deterministic recovery scan and holds the tight default

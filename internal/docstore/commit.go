@@ -5,15 +5,23 @@ import (
 	"time"
 )
 
-// Group-commit pipeline. The seed write path serialized every writer under
-// Store.mu through WAL append, per-put fsync, and even full compaction, so
-// ingest throughput was whatever one fsync-at-a-time writer could do. The
-// pipeline inverts the discipline: writers stage marshalled records into a
-// commit queue and a single committer goroutine drains it in windows,
-// appending every staged record and amortizing ONE fsync across all writers
-// waiting in the window. Each Put/Delete still returns only after its record
-// is durable per Options.SyncEveryPut — the ack is deferred, never the
-// durability.
+// Commit pipeline: the store's one write path. Every Put, PutBatch and
+// Delete becomes a commit request, and requests are committed in windows by
+// commitWindow: apply every op to the master in order, then publish the
+// whole window as ONE epoch. What differs between stores is only who runs
+// the window and whether it has a log:
+//
+//   - A durable store stages marshalled records into a commit queue, and a
+//     single committer goroutine drains it in windows, appending every
+//     staged record and amortizing ONE fsync across all writers waiting in
+//     the window. Each Put/Delete still returns only after its record is
+//     durable per Options.SyncEveryPut — the ack is deferred, never the
+//     durability.
+//   - An in-memory store has no WAL, so there is nothing to amortize across
+//     writers: each writer runs commitWindow inline with its own request as
+//     the window, skipping the marshal, the append/fsync and compaction. It
+//     starts no goroutine — simulations create hundreds of stores and never
+//     close them.
 //
 // Ordering contract (the repo's determinism contract extended to the write
 // path): WAL record order == master apply order == snapshot publish (epoch)
@@ -27,11 +35,11 @@ import (
 // under contention windows grow to the number of waiting writers with no
 // added latency for the uncontended single-writer case.
 
-// stagedOp is one marshalled write, prepared by the writer goroutine so the
-// CPU work (Clone, marshal, tokenize) runs in parallel outside the committer.
+// stagedOp is one write, prepared by the writer goroutine so the CPU work
+// (Clone, marshal, tokenize) runs in parallel outside the committer.
 type stagedOp struct {
 	op      uint8
-	payload []byte    // marshalled document (put) or raw id bytes (delete)
+	payload []byte    // WAL record, durable stores only: marshalled document (put) or raw id bytes (delete)
 	doc     *Document // put: the already-cloned document to install
 	tokens  []string  // put: precomputed tokens
 	id      string    // delete: target id
@@ -39,9 +47,10 @@ type stagedOp struct {
 }
 
 // commitReq is one writer's stake in a window: its ops, the error slot the
-// committer fills, and the done channel the writer blocks on. A Put or
-// Delete stages exactly one op; PutBatch stages all of its ops in one
-// request so the batch rides a single commit window end-to-end.
+// committer fills, and the done channel a queued writer blocks on (nil for
+// an inline commit). A Put or Delete stages exactly one op; PutBatch stages
+// all of its ops in one request so the batch rides a single commit window
+// end-to-end.
 type commitReq struct {
 	ops  []stagedOp
 	at   time.Time // enqueue time, for sync-wait/commit-latency telemetry
@@ -59,9 +68,8 @@ const maxCommitWindow = 1024
 const commitQueueDepth = 256
 
 // startCommitter launches the committer goroutine. Only durable stores run
-// one: an in-memory store has no WAL to amortize, so its writers apply
-// inline under Store.mu (see Put). The goroutine is join-tracked by
-// committerWG and joined in Close.
+// one: an in-memory store's writers commit inline (see submit). The
+// goroutine is join-tracked by committerWG and joined in Close.
 func (s *Store) startCommitter() {
 	s.commits = make(chan *commitReq, commitQueueDepth)
 	s.committerWG.Add(1)
@@ -71,16 +79,30 @@ func (s *Store) startCommitter() {
 	}()
 }
 
-// submit hands a request to the committer and blocks until its window is
-// durable and published. The closeMu read-lock makes the closed check and
-// the channel send atomic with respect to Close, which takes the write lock
-// before closing the channel — so a send on a closed channel cannot happen.
+// durable reports whether the store has a WAL, and with it a committer. It
+// is the one test of the store's kind on the write path: a nil s.log on a
+// durable store means the log was lost, not that there is none.
+func (s *Store) durable() bool { return s.commits != nil }
+
+// submit commits a request and returns once its window is durable and
+// published. A durable store hands it to the committer and blocks on done;
+// an in-memory store runs the window inline. The closeMu read-lock makes the
+// closed check atomic with the channel send — or with the whole inline
+// commit — with respect to Close, which takes the write lock before closing
+// the channel: a send on a closed channel cannot happen, and no inline
+// write lands after Close returns.
 func (s *Store) submit(req *commitReq) error {
 	s.closeMu.RLock()
 	if s.closed.Load() {
 		s.closeMu.RUnlock()
 		return ErrClosed
 	}
+	if !s.durable() {
+		s.commitWindow([]*commitReq{req})
+		s.closeMu.RUnlock()
+		return req.err
+	}
+	req.done = make(chan struct{})
 	s.commits <- req
 	s.closeMu.RUnlock()
 	<-req.done
@@ -113,13 +135,22 @@ func (s *Store) commitLoop() {
 }
 
 // commitWindow appends every staged record in arrival order, makes the
-// window durable with one flush/fsync, then applies and publishes each op in
-// the same order before acking all waiters. Holding Store.mu across the
-// window keeps the log, the master state, and the published snapshot
+// window durable with one flush/fsync, then applies each op in the same
+// order and publishes the window as one epoch before acking all waiters.
+// An in-memory store skips the append and sync and applies and publishes
+// the window the same way; a durable store whose WAL was lost fails the
+// whole window instead. Holding Store.mu across
+// the window keeps the log, the master state, and the published snapshot
 // mutually consistent (compaction pins exactly that consistency point).
 func (s *Store) commitWindow(window []*commitReq) {
 	s.mu.Lock()
+	durable := s.durable()
 	var wErr error
+	if durable && s.log == nil {
+		// A compaction could not reopen the WAL. Fail the window rather
+		// than acknowledge writes that would not survive a restart.
+		wErr = ErrLogUnavailable
+	}
 	staged := 0
 	// winLive tracks liveness of ids touched earlier in this same window,
 	// so a Delete sequenced after a Put of the same id in one window
@@ -142,8 +173,10 @@ func (s *Store) commitWindow(window []*commitReq) {
 			if wErr != nil {
 				continue
 			}
-			if wErr = s.log.append(op.op, op.payload); wErr != nil {
-				continue
+			if durable {
+				if wErr = s.log.append(op.op, op.payload); wErr != nil {
+					continue
+				}
 			}
 			staged++
 			if winLive == nil {
@@ -156,7 +189,7 @@ func (s *Store) commitWindow(window []*commitReq) {
 			}
 		}
 	}
-	if wErr == nil && staged > 0 {
+	if durable && wErr == nil && staged > 0 {
 		if s.opts.SyncEveryPut {
 			if wErr = s.log.sync(); wErr == nil {
 				s.tel.walSyncs.Inc()
@@ -188,21 +221,27 @@ func (s *Store) commitWindow(window []*commitReq) {
 			}
 		}
 		s.publishWindowLocked(window)
-		s.walBytes.Store(s.log.size)
-		s.maybeCompactLocked()
+		if durable {
+			s.walBytes.Store(s.log.size)
+			s.maybeCompactLocked()
+		}
 	}
 	s.mu.Unlock()
-	s.tel.walWindows.Inc()
-	s.tel.walGroupSize.Add(uint64(staged))
+	if durable {
+		s.tel.walWindows.Inc()
+		s.tel.walGroupSize.Add(uint64(staged))
+	}
 	now := time.Now()
 	for _, req := range window {
 		if req.err == nil {
 			req.err = wErr
 		}
 		wait := now.Sub(req.at)
-		s.tel.walSyncWaitUs.Add(uint64(wait.Microseconds()))
 		s.tel.commitLat.Observe(wait)
-		close(req.done)
+		if durable { // queued behind the committer's WAL sync
+			s.tel.walSyncWaitUs.Add(uint64(wait.Microseconds()))
+			close(req.done)
+		}
 	}
 }
 

@@ -72,6 +72,53 @@ func TestDeleteDurabilityMatchesPut(t *testing.T) {
 	}
 }
 
+// TestLostWALFailsWrites covers a durable store whose WAL a compaction
+// could not reopen (s.log left nil): every later write must fail and
+// publish nothing, never be acknowledged without a record on disk.
+func TestLostWALFailsWrites(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, ConceptDim: 4, Seed: 1, SyncEveryPut: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(doc("d1", "t", "b", 1, nil)); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	if err := s.log.close(); err != nil {
+		t.Fatal(err)
+	}
+	s.log = nil
+	s.mu.Unlock()
+	epoch, n := s.Epoch(), s.Len()
+	if err := s.Put(doc("d2", "t", "b", 1, nil)); !errors.Is(err, ErrLogUnavailable) {
+		t.Fatalf("Put with the WAL lost: got %v, want ErrLogUnavailable", err)
+	}
+	if err := s.PutBatch([]*Document{doc("d3", "t", "b", 1, nil)}); !errors.Is(err, ErrLogUnavailable) {
+		t.Fatalf("PutBatch with the WAL lost: got %v, want ErrLogUnavailable", err)
+	}
+	if err := s.Delete("d1"); !errors.Is(err, ErrLogUnavailable) {
+		t.Fatalf("Delete with the WAL lost: got %v, want ErrLogUnavailable", err)
+	}
+	if s.Epoch() != epoch || s.Len() != n {
+		t.Fatalf("failed writes were published: epoch %d -> %d, len %d -> %d", epoch, s.Epoch(), n, s.Len())
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(Options{Dir: dir, ConceptDim: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Get("d1"); err != nil {
+		t.Fatalf("acknowledged d1 lost on reopen: %v", err)
+	}
+	if r.Len() != 1 {
+		t.Fatalf("reopened store holds %d docs, want 1", r.Len())
+	}
+}
+
 // TestGroupCommitWALByteIdentical is the determinism contract: the same
 // operation sequence produces a byte-identical WAL whether it is committed
 // one op per window or batched through PutBatch windows — so replay of a
@@ -285,11 +332,67 @@ func TestCloseDuringPendingWindow(t *testing.T) {
 	})
 }
 
-// TestCommitStressWithDeletesAndSearches hammers a live committer from
-// many goroutines mixing Put, PutBatch, Delete, and lock-free reads; run
-// with -race. Correctness bar: no races, no hangs, final count exact.
+// TestCloseRacesInlineWriters is TestCloseDuringPendingWindow for an
+// in-memory store, whose writers commit inline: every Put returns nil or
+// ErrClosed, and no write lands after Close returns — the store holds
+// exactly the acked puts, then and after every writer has given up.
+func TestCloseRacesInlineWriters(t *testing.T) {
+	s := memStore(t)
+	const writers = 8
+	var acked atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				err := s.Put(doc(fmt.Sprintf("w%d-%04d", w, i), "t", "b", int64(i), nil))
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil {
+					t.Errorf("put: %v", err)
+					return
+				}
+				acked.Add(1)
+			}
+		}()
+	}
+	time.Sleep(10 * time.Millisecond)
+	if err := s.Close(); err != nil {
+		t.Fatalf("close during inline writes: %v", err)
+	}
+	atClose := s.Len()
+	wg.Wait()
+	if s.Len() != atClose {
+		t.Fatalf("a write landed after Close returned: len %d -> %d", atClose, s.Len())
+	}
+	if int64(atClose) != acked.Load() {
+		t.Fatalf("store holds %d docs, %d puts were acked", atClose, acked.Load())
+	}
+}
+
+// TestCommitStressWithDeletesAndSearches hammers the commit path from many
+// goroutines mixing Put, PutBatch, Delete, and lock-free reads, on a durable
+// store (queued windows, one committer) and an in-memory one (inline
+// windows); run with -race. Correctness bar: no races, no hangs, final
+// count exact.
 func TestCommitStressWithDeletesAndSearches(t *testing.T) {
-	s, err := Open(Options{Dir: t.TempDir(), ConceptDim: 8, Seed: 1, SyncEveryPut: true})
+	for _, durable := range []bool{true, false} {
+		name := "in-memory"
+		opts := Options{ConceptDim: 8, Seed: 1}
+		if durable {
+			name = "durable"
+			opts.Dir = t.TempDir()
+			opts.SyncEveryPut = true
+		}
+		t.Run(name, func(t *testing.T) { commitStress(t, opts) })
+	}
+}
+
+func commitStress(t *testing.T, opts Options) {
+	s, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,8 +572,12 @@ func TestPutBatchSemantics(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			e0 := s.Epoch()
 			if err := s.PutBatch(nil); err != nil {
 				t.Fatalf("empty batch: %v", err)
+			}
+			if s.Epoch() != e0 {
+				t.Fatalf("empty batch moved the epoch %d -> %d", e0, s.Epoch())
 			}
 			batch := []*Document{
 				doc("a", "first", "b", 1, nil),
@@ -480,19 +587,32 @@ func TestPutBatchSemantics(t *testing.T) {
 			if err := s.PutBatch(batch); err != nil {
 				t.Fatal(err)
 			}
-			if s.Len() != 2 {
-				t.Fatalf("len = %d, want 2", s.Len())
+			// A batch is one commit window, so it publishes one epoch.
+			if got := s.Epoch() - e0; got != 1 {
+				t.Fatalf("3-doc batch advanced the epoch by %d, want 1", got)
+			}
+			if err := s.PutBatch([]*Document{doc("b", "second revised", "b", 4, nil), doc("d", "t", "b", 5, nil)}); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Epoch() - e0; got != 2 {
+				t.Fatalf("second batch: epoch advanced by %d in total, want 2", got)
+			}
+			if s.Len() != 3 {
+				t.Fatalf("len = %d, want 3", s.Len())
 			}
 			if d, _ := s.Get("a"); d == nil || d.Title != "first revised" {
 				t.Fatalf("later duplicate must win: %+v", d)
 			}
-			before := s.Len()
-			err = s.PutBatch([]*Document{doc("c", "t", "b", 4, nil), doc("", "bad", "b", 5, nil)})
+			if d, _ := s.Get("b"); d == nil || d.Title != "second revised" {
+				t.Fatalf("second batch must replace b: %+v", d)
+			}
+			before, eBefore := s.Len(), s.Epoch()
+			err = s.PutBatch([]*Document{doc("c", "t", "b", 6, nil), doc("", "bad", "b", 7, nil)})
 			if !errors.Is(err, ErrEmptyID) {
 				t.Fatalf("empty id in batch = %v, want ErrEmptyID", err)
 			}
-			if s.Len() != before {
-				t.Fatal("failed batch must not commit anything")
+			if s.Len() != before || s.Epoch() != eBefore {
+				t.Fatal("failed batch must not commit or publish anything")
 			}
 			if durable {
 				// Batch must survive reopen.
@@ -504,11 +624,51 @@ func TestPutBatchSemantics(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer r.Close()
-				if r.Len() != 2 {
-					t.Fatalf("replayed len = %d, want 2", r.Len())
+				if r.Len() != 3 {
+					t.Fatalf("replayed len = %d, want 3", r.Len())
 				}
 			}
 		})
+	}
+}
+
+// TestBulkLoadPublishParity is the bulk-load gate for the single write
+// path: the same 8k documents loaded through one PutBatch into an in-memory
+// store and into a durable one (no per-put fsync) publish the same number of
+// epochs and run the same number of freezes — one each, since the batch is
+// one commit window on either kind of store. Counts, not timings, so the
+// gate is deterministic.
+func TestBulkLoadPublishParity(t *testing.T) {
+	const n = 8 << 10
+	r := rand.New(rand.NewSource(7))
+	docs := make([]*Document, n)
+	for i := range docs {
+		docs[i] = benchDoc(r, i)
+	}
+	load := func(dir string) (epochs, freezes uint64) {
+		reg := telemetry.NewRegistry()
+		s, err := Open(Options{Dir: dir, ConceptDim: 8, Seed: 1, Telemetry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		e0 := s.Epoch()
+		if err := s.PutBatch(docs); err != nil {
+			t.Fatal(err)
+		}
+		if s.Len() != n {
+			t.Fatalf("loaded %d docs, want %d", s.Len(), n)
+		}
+		return s.Epoch() - e0, reg.Counter("docstore.snapshot.freezes").Value()
+	}
+	memEpochs, memFreezes := load("")
+	durEpochs, durFreezes := load(t.TempDir())
+	if memEpochs != durEpochs || memFreezes != durFreezes {
+		t.Fatalf("in-memory published %d epochs / %d freezes, durable %d / %d: the write paths diverge",
+			memEpochs, memFreezes, durEpochs, durFreezes)
+	}
+	if memEpochs != 1 || memFreezes != 1 {
+		t.Fatalf("one batch published %d epochs and %d freezes, want 1 and 1", memEpochs, memFreezes)
 	}
 }
 

@@ -8,20 +8,20 @@ import (
 
 // This file implements the lock-free read path. The write path (Put /
 // Delete / Compact, serialized by Store.mu) maintains one mutable "master"
-// state and, after every mutation, publishes an immutable snapshot through
-// an atomic pointer. Readers load the snapshot once and never touch the
-// store lock — a search can run entirely concurrently with writers, and a
-// reader holding an old snapshot simply keeps seeing the old epoch.
+// state and, after every commit window, publishes an immutable snapshot
+// through an atomic pointer. Readers load the snapshot once and never touch
+// the store lock — a search can run entirely concurrently with writers, and
+// a reader holding an old snapshot simply keeps seeing the old epoch.
 //
 // Publishing a full deep copy per write would make Put O(n). Instead a
 // snapshot is a frozen base plus a small immutable overlay delta:
 //
 //	snapshot = { base: frozen state, ov: docs written since the freeze }
 //
-// Each write clones the (small) overlay and republishes; once the overlay
-// reaches overlayLimit the master is deep-cloned into a fresh base and the
-// overlay resets — small-batch coalescing that amortizes the O(n) freeze
-// over many writes.
+// Each commit window clones the (small) overlay once, folds its writes in,
+// and republishes; once the overlay would pass overlayLimit the master is
+// deep-cloned into a fresh base and the overlay resets — small-batch
+// coalescing that amortizes the O(n) freeze over many writes.
 //
 // Exactness contract: every read through (base, ov) must be result-identical
 // to the same read against a monolithic index containing the live documents.
@@ -173,7 +173,7 @@ type overlay struct {
 	docLen   map[string]int
 	// termPost inverts terms (term -> carriers sorted by docID) so per-term
 	// document frequency and overlay scoring are O(carriers), not
-	// O(overlay docs). Slices are copy-on-write: cloneNext shares them, and
+	// O(overlay docs). Slices are copy-on-write: cloneNextN shares them, and
 	// any write replaces the touched term's slice with a fresh copy.
 	termPost map[string][]ovPost
 	extras   []feature.Extra // overlay concept vectors with precomputed signatures
@@ -185,14 +185,11 @@ type ovPost struct {
 	tf int
 }
 
-// cloneNext deep-copies the overlay's own containers for the next write.
-// Inner term maps and documents are immutable after insertion and shared.
-func (ov *overlay) cloneNext() *overlay { return ov.cloneNextN(1) }
-
-// cloneNextN is cloneNext for a commit window of n writes: ONE deep copy
-// absorbs the whole window (the committer folds every windowed op into the
-// clone before publishing), so publish cost is O(overlay + window) rather
-// than O(overlay × window).
+// cloneNextN deep-copies the overlay's own containers for a commit window
+// of n writes: ONE deep copy absorbs the whole window (publishWindowLocked
+// folds every windowed op into the clone before publishing), so publish
+// cost is O(overlay + window) rather than O(overlay × window). Inner term
+// maps and documents are immutable after insertion and shared.
 func (ov *overlay) cloneNextN(n int) *overlay {
 	nv := &overlay{
 		ops:      ov.ops + n,
@@ -270,18 +267,12 @@ func (nv *overlay) removeTime(key int64, id string) {
 	}
 }
 
-// withPut returns the overlay extended with d. cx is the frozen base's
-// compiled index (for masked-df bookkeeping); sigs are d.Concept's
-// per-table LSH signatures (nil when the doc has no concept vector). inBase
-// says whether the base holds a (now superseded) version of d.ID.
-func (ov *overlay) withPut(d *Document, tokens []string, sigs []uint64, inBase bool, cx *compiledIndex) *overlay {
-	nv := ov.cloneNext()
-	nv.putDoc(d, tokens, sigs, inBase, cx)
-	return nv
-}
-
 // putDoc folds d into a freshly cloned (not yet published) overlay. Callers
-// own nv exclusively; once published the overlay is immutable again.
+// own nv exclusively; once published the overlay is immutable again. cx is
+// the frozen base's compiled index (for masked-df bookkeeping); sigs are
+// d.Concept's per-table LSH signatures (nil when the doc has no concept
+// vector). inBase says whether the base holds a (now superseded) version of
+// d.ID.
 func (nv *overlay) putDoc(d *Document, tokens []string, sigs []uint64, inBase bool, cx *compiledIndex) {
 	nv.dropID(d.ID)
 	if inBase {
@@ -303,15 +294,8 @@ func (nv *overlay) putDoc(d *Document, tokens []string, sigs []uint64, inBase bo
 	}
 }
 
-// withDelete returns the overlay with id removed (and masked when the base
-// holds it).
-func (ov *overlay) withDelete(id string, inBase bool, cx *compiledIndex) *overlay {
-	nv := ov.cloneNext()
-	nv.deleteDoc(id, inBase, cx)
-	return nv
-}
-
-// deleteDoc folds a delete into a freshly cloned overlay (see putDoc).
+// deleteDoc folds a delete into a freshly cloned overlay (see putDoc): id
+// is removed, and masked when the base holds it.
 func (nv *overlay) deleteDoc(id string, inBase bool, cx *compiledIndex) {
 	nv.dropID(id)
 	if inBase {

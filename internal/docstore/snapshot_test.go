@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/feature"
+	"repro/internal/telemetry"
 )
 
 // TestSnapshotPreWriteStability pins the no-torn-reads contract: a reader
@@ -81,6 +82,37 @@ func TestEpochMonotonic(t *testing.T) {
 	}
 	if s.Epoch() != last+1 {
 		t.Fatal("delete did not bump the epoch")
+	}
+}
+
+// TestFreezeLatencyCountsFreezes pins the docstore.freeze histogram to the
+// docstore.snapshot.freezes counter: every freeze is timed exactly once,
+// through a put/replace/delete sweep that crosses several freezes.
+func TestFreezeLatencyCountsFreezes(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s, err := Open(Options{ConceptDim: 8, Seed: 1, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 600; i++ {
+		id := fmt.Sprintf("f%d", r.Intn(200))
+		if i%5 == 4 {
+			if err := s.Delete(id); err != nil && !errors.Is(err, ErrNotFound) {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err := s.Put(shadowDoc(r, id, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	freezes := reg.Counter("docstore.snapshot.freezes").Value()
+	if freezes < 3 {
+		t.Fatalf("sweep crossed %d freezes, want several", freezes)
+	}
+	if got := reg.Histogram("docstore.freeze").Count(); got != freezes {
+		t.Fatalf("docstore.freeze observed %d freezes, counter says %d", got, freezes)
 	}
 }
 

@@ -18,7 +18,10 @@ import (
 // Options configures a Store.
 type Options struct {
 	// Dir is the durability directory. Empty means a purely in-memory
-	// store (used by simulations, which create hundreds of them).
+	// store (used by simulations, which create hundreds of them): its
+	// writes run the same commit window as a durable store's, minus the
+	// WAL, inline in the writer's goroutine, so it owns no goroutine and
+	// an unclosed one leaks nothing.
 	Dir string
 	// ConceptDim is the dimensionality of document concept vectors; the
 	// LSH index requires it up front.
@@ -44,10 +47,12 @@ type Options struct {
 	QueryCacheSize int
 	// Telemetry receives per-operation latency histograms and counters
 	// (docstore.put, docstore.search.*, docstore.compact, WAL replay,
-	// docstore.epoch, docstore.cache.*, and the group-commit pipeline's
-	// docstore.wal.{syncs,windows,group_size,sync_wait_us} counters plus
-	// the docstore.commit latency histogram). Nil disables
-	// instrumentation.
+	// docstore.epoch, docstore.cache.*, the docstore.freeze latency
+	// histogram beside the docstore.snapshot.freezes counter, the
+	// docstore.commit latency histogram every commit window feeds, and
+	// the WAL pipeline's docstore.wal.{syncs,windows,group_size,
+	// sync_wait_us} counters, which only durable stores move). Nil
+	// disables instrumentation.
 	Telemetry *telemetry.Registry
 }
 
@@ -59,7 +64,7 @@ type storeTel struct {
 	compactErrors                                               *telemetry.Counter
 	epoch                                                       *telemetry.Gauge
 	putLat, deleteLat, textLat, vectorLat, visualLat, hybridLat *telemetry.Histogram
-	compactLat, replayLat, commitLat                            *telemetry.Histogram
+	compactLat, replayLat, commitLat, freezeLat                 *telemetry.Histogram
 }
 
 func newStoreTel(reg *telemetry.Registry) storeTel {
@@ -90,6 +95,7 @@ func newStoreTel(reg *telemetry.Registry) storeTel {
 		compactLat:    reg.Histogram("docstore.compact"),
 		replayLat:     reg.Histogram("docstore.wal.replay"),
 		commitLat:     reg.Histogram("docstore.commit"),
+		freezeLat:     reg.Histogram("docstore.freeze"),
 	}
 }
 
@@ -98,18 +104,23 @@ var (
 	ErrNotFound = errors.New("docstore: document not found")
 	ErrClosed   = errors.New("docstore: store closed")
 	ErrEmptyID  = errors.New("docstore: empty document id")
+	// ErrLogUnavailable fails every write to a durable store whose WAL a
+	// failed compaction could not reopen: nothing is acknowledged that was
+	// not made durable.
+	ErrLogUnavailable = errors.New("docstore: write-ahead log unavailable")
 )
 
 // Store is a durable, indexed document store. All methods are safe for
-// concurrent use. Durable writers (Put/Delete/PutBatch with a Dir) stage
-// marshalled records into the group-commit pipeline (commit.go): a single
-// committer goroutine batches WAL appends and amortizes one fsync across
-// every writer waiting in the window, then applies and publishes each op in
-// arrival order. In-memory writers apply inline under mu. Every read method
-// loads the published epoch snapshot and runs lock-free, so searches never
-// block writers and never take the store lock (a contract enforced by
-// agoralint's lockfree analyzer — see snapshot.go for the epoch/overlay
-// design).
+// concurrent use. Every write (Put/Delete/PutBatch) runs through one commit
+// window (commit.go): its ops are applied to the master in order and
+// published as ONE epoch. A durable store (with a Dir) queues writers to a
+// committer goroutine that batches WAL appends and amortizes one fsync
+// across every writer waiting in the window; an in-memory store has no log
+// to amortize, so each writer runs its own request as the window, inline.
+// Every read method loads the published epoch snapshot and runs lock-free,
+// so searches never block writers and never take the store lock (a contract
+// enforced by agoralint's lockfree analyzer — see snapshot.go for the
+// epoch/overlay design).
 type Store struct {
 	mu     sync.Mutex // serializes mutation of master/log/snapshot publish; never taken on the read path
 	opts   Options
@@ -121,9 +132,9 @@ type Store struct {
 	cache  *queryCache
 	tokens *tokenMemo
 
-	// Group-commit pipeline (durable stores only; nil commits means
-	// in-memory inline writes). closeMu makes the closed-check + channel
-	// send in submit atomic against Close closing the channel.
+	// Group-commit pipeline. commits is nil for an in-memory store, whose
+	// writers commit inline. closeMu makes the closed-check plus the send
+	// (or the inline commit) in submit atomic against Close.
 	commits     chan *commitReq
 	closeMu     sync.RWMutex
 	committerWG sync.WaitGroup
@@ -229,30 +240,14 @@ func (s *Store) installLocked(sn *snapshot) {
 }
 
 // freezeLocked publishes a fresh deep-cloned base with an empty overlay —
-// the coalescing point that keeps overlays small.
+// the coalescing point that keeps overlays small. docstore.freeze times the
+// deep clone and compile.
 func (s *Store) freezeLocked(epoch uint64) {
+	start := time.Now()
+	base := s.master.freeze()
+	s.tel.freezeLat.Observe(time.Since(start))
 	s.tel.freezes.Inc()
-	s.installLocked(&snapshot{epoch: epoch, base: s.master.freeze(), ov: &overlay{}})
-}
-
-// publishPutLocked extends the overlay with d, or freezes when the overlay
-// has reached its coalescing limit.
-func (s *Store) publishPutLocked(d *Document, tokens []string) {
-	cur := s.snap.Load()
-	if cur.ov.ops >= overlayLimit(len(cur.base.docs)) {
-		s.freezeLocked(cur.epoch + 1)
-		return
-	}
-	_, inBase := cur.base.docs[d.ID]
-	var sigs []uint64
-	if len(d.Concept) > 0 {
-		sigs = s.master.vec.Signatures(d.Concept)
-	}
-	s.installLocked(&snapshot{
-		epoch: cur.epoch + 1,
-		base:  cur.base,
-		ov:    cur.ov.withPut(d, tokens, sigs, inBase, cur.base.cx),
-	})
+	s.installLocked(&snapshot{epoch: epoch, base: base, ov: &overlay{}})
 }
 
 // publishWindowLocked publishes one epoch covering every non-skipped op of a
@@ -302,56 +297,34 @@ func (s *Store) publishWindowLocked(window []*commitReq) {
 	s.installLocked(&snapshot{epoch: cur.epoch + 1, base: cur.base, ov: nv})
 }
 
-func (s *Store) publishDeleteLocked(id string) {
-	cur := s.snap.Load()
-	if cur.ov.ops >= overlayLimit(len(cur.base.docs)) {
-		s.freezeLocked(cur.epoch + 1)
-		return
-	}
-	_, inBase := cur.base.docs[id]
-	s.installLocked(&snapshot{
-		epoch: cur.epoch + 1,
-		base:  cur.base,
-		ov:    cur.ov.withDelete(id, inBase, cur.base.cx),
-	})
-}
-
-// Put stores (or replaces) a document durably. On a durable store the write
-// rides the group-commit pipeline: marshalling and tokenizing run here, in
-// the caller's goroutine, and the call returns once the committer has made
-// the record durable (fsynced when Options.SyncEveryPut) and published it.
+// Put stores (or replaces) a document durably. The write rides the commit
+// pipeline: cloning, tokenizing and marshalling run here, in the caller's
+// goroutine, and the call returns once its window has made the record
+// durable (fsynced when Options.SyncEveryPut) and published it.
 func (s *Store) Put(d *Document) error {
 	if d.ID == "" {
 		return ErrEmptyID
 	}
 	start := time.Now()
-	cp := d.Clone()
-	tokens := cp.Tokens()
-	if s.commits == nil { // in-memory: no WAL to amortize, apply inline
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.closed.Load() {
-			return ErrClosed
-		}
-		s.master.applyPut(cp, tokens)
-		s.publishPutLocked(cp, tokens)
-		s.puts.Add(1)
-		s.tel.puts.Inc()
-		s.tel.putLat.Observe(time.Since(start))
-		return nil
-	}
-	err := s.submit(&commitReq{
-		ops:  []stagedOp{{op: opPut, payload: cp.marshal(), doc: cp, tokens: tokens}},
-		at:   start,
-		done: make(chan struct{}),
-	})
+	err := s.submit(&commitReq{ops: []stagedOp{s.stagePut(d)}, at: start})
 	s.tel.putLat.Observe(time.Since(start))
 	return err
 }
 
+// stagePut prepares one put for a commit window: the clone to install, its
+// tokens, and — only when there is a WAL to append it to — its record.
+func (s *Store) stagePut(d *Document) stagedOp {
+	cp := d.Clone()
+	op := stagedOp{op: opPut, doc: cp, tokens: cp.Tokens()}
+	if s.durable() {
+		op.payload = cp.marshal()
+	}
+	return op
+}
+
 // PutBatch stores a batch of documents durably. The whole batch is staged as
 // one commit request, so it rides a single commit window end-to-end: one WAL
-// append run, one fsync (per Options), and in-order publication — later
+// append run, one fsync (per Options), and one published epoch — later
 // documents in the batch supersede earlier ones with the same id, exactly as
 // sequential Puts would. An empty-id document fails the batch up front,
 // before anything is staged.
@@ -367,25 +340,9 @@ func (s *Store) PutBatch(docs []*Document) error {
 	start := time.Now()
 	ops := make([]stagedOp, len(docs))
 	for i, d := range docs {
-		cp := d.Clone()
-		ops[i] = stagedOp{op: opPut, payload: cp.marshal(), doc: cp, tokens: cp.Tokens()}
+		ops[i] = s.stagePut(d)
 	}
-	if s.commits == nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.closed.Load() {
-			return ErrClosed
-		}
-		for i := range ops {
-			s.master.applyPut(ops[i].doc, ops[i].tokens)
-			s.publishPutLocked(ops[i].doc, ops[i].tokens)
-			s.puts.Add(1)
-			s.tel.puts.Inc()
-		}
-		s.tel.putLat.Observe(time.Since(start))
-		return nil
-	}
-	err := s.submit(&commitReq{ops: ops, at: start, done: make(chan struct{})})
+	err := s.submit(&commitReq{ops: ops, at: start})
 	s.tel.putLat.Observe(time.Since(start))
 	return err
 }
@@ -397,27 +354,11 @@ func (s *Store) PutBatch(docs []*Document) error {
 // could resurrect after a crash).
 func (s *Store) Delete(id string) error {
 	start := time.Now()
-	if s.commits == nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.closed.Load() {
-			return ErrClosed
-		}
-		if _, ok := s.master.docs[id]; !ok {
-			return ErrNotFound
-		}
-		s.master.applyDelete(id)
-		s.publishDeleteLocked(id)
-		s.deletes.Add(1)
-		s.tel.deletes.Inc()
-		s.tel.deleteLat.Observe(time.Since(start))
-		return nil
+	op := stagedOp{op: opDelete, id: id}
+	if s.durable() {
+		op.payload = []byte(id)
 	}
-	err := s.submit(&commitReq{
-		ops:  []stagedOp{{op: opDelete, payload: []byte(id), id: id}},
-		at:   start,
-		done: make(chan struct{}),
-	})
+	err := s.submit(&commitReq{ops: []stagedOp{op}, at: start})
 	s.tel.deleteLat.Observe(time.Since(start))
 	return err
 }
@@ -439,7 +380,10 @@ func (s *Store) Len() int {
 	return s.snap.Load().docCount
 }
 
-// Epoch returns the current snapshot generation; every Put/Delete bumps it.
+// Epoch returns the current snapshot generation. Every commit window that
+// changes the store advances it by exactly one: a Put, a Delete and a whole
+// PutBatch each publish one epoch (concurrent durable writers sharing a
+// window share its epoch).
 // Callers use it to tag derived results that stay valid until the next
 // write (the query cache here, the execute memo in internal/core).
 func (s *Store) Epoch() uint64 {
@@ -853,7 +797,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed.Store(true)
-	if s.commits != nil {
+	if s.durable() {
 		close(s.commits)
 	}
 	s.closeMu.Unlock()

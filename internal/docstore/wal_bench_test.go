@@ -153,3 +153,50 @@ func BenchmarkWALReplay(b *testing.B) {
 		}
 	}
 }
+
+// The BulkLoad benchmarks load 32k documents through one PutBatch into a
+// fresh store, in memory and on disk (no per-put fsync). Both run the same
+// commit window, so besides ns/op they report the deterministic publish
+// counts — epochs/op and freezes/op — that must agree between the two:
+// one epoch and one freeze per load.
+const bulkLoadDocs = 32 << 10
+
+func benchmarkBulkLoad(b *testing.B, durable bool) {
+	r := rand.New(rand.NewSource(42))
+	docs := make([]*Document, bulkLoadDocs)
+	for i := range docs {
+		docs[i] = benchDoc(r, i)
+	}
+	var epochs, freezes uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		reg := telemetry.NewRegistry()
+		opts := Options{ConceptDim: 8, Seed: 1, QueryCacheSize: -1, Telemetry: reg}
+		if durable {
+			opts.Dir = b.TempDir()
+		}
+		s, err := Open(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e0 := s.Epoch()
+		b.StartTimer()
+		if err := s.PutBatch(docs); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		epochs += s.Epoch() - e0
+		freezes += reg.Counter("docstore.snapshot.freezes").Value()
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(epochs)/float64(b.N), "epochs/op")
+	b.ReportMetric(float64(freezes)/float64(b.N), "freezes/op")
+}
+
+func BenchmarkBulkLoadInMemory(b *testing.B) { benchmarkBulkLoad(b, false) }
+func BenchmarkBulkLoadDurable(b *testing.B)  { benchmarkBulkLoad(b, true) }

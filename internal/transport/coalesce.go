@@ -117,8 +117,12 @@ func (q *coalescer) flushLocked() error {
 		q.spare = nil
 		q.mu.Unlock()
 
-		_, err := q.w.Write(batch)
+		// Count the Write before issuing it, as stage counts a frame before
+		// flushing it: the peer can act on the bytes (and read WireStats)
+		// before this goroutine runs again, so a count taken after the
+		// syscall could lag what the peer has already seen.
 		q.flushes.Add(1)
+		_, err := q.w.Write(batch)
 
 		q.mu.Lock()
 		if err != nil && q.err == nil {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -189,5 +190,33 @@ func TestUntracedQueryStillServed(t *testing.T) {
 		t.Fatal("server-minted trace not retained")
 	} else if snaps[0].ParentSpan != "" {
 		t.Fatalf("fresh trace should have no parent, got %q", snaps[0].ParentSpan)
+	}
+}
+
+// refusingWriter fails every Write, standing in for a peer that has gone.
+type refusingWriter struct{}
+
+func (refusingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// TestServeQuerySendFailureVisible pins what a reply that cannot be sent
+// leaves behind: the serve trace is still retained (it finishes before the
+// reply is staged), and the failure shows in the warning log and in the
+// transport.server.send.errors counter.
+func TestServeQuerySendFailureVisible(t *testing.T) {
+	srv := NewServer("museum", seededStore(t, "museum"))
+	var warnings []string
+	srv.Logf = func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }
+	reg := telemetry.NewRegistrySeeded(9)
+	srv.SetTelemetry(reg)
+	q := wire.Query{ID: "q1", Text: "auction drawing", TopK: 5, TraceID: 0xa9012, SpanID: 7}
+	srv.serveQuery(&connState{out: newCoalescer(refusingWriter{})}, q.AppendTo(nil))
+	if got := reg.Counter("transport.server.send.errors").Value(); got != 1 {
+		t.Fatalf("send errors = %d, want 1", got)
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "send result") {
+		t.Fatalf("warnings = %q, want one send-result warning", warnings)
+	}
+	if len(reg.TraceByID(telemetry.TraceID(q.TraceID))) == 0 {
+		t.Fatal("serve trace not retained when the reply could not be sent")
 	}
 }

@@ -63,9 +63,9 @@ type Server struct {
 // serverTel caches resolved telemetry instruments for the request path.
 // reg is kept so serveQuery can continue an inbound distributed trace.
 type serverTel struct {
-	queries, feedDelivered, conns, readErrors *telemetry.Counter
-	queryLat                                  *telemetry.Histogram
-	reg                                       *telemetry.Registry
+	queries, feedDelivered, conns, readErrors, sendErrors *telemetry.Counter
+	queryLat                                              *telemetry.Histogram
+	reg                                                   *telemetry.Registry
 }
 
 // SetTelemetry registers the server's instruments in reg. Safe to call at
@@ -80,6 +80,7 @@ func (s *Server) SetTelemetry(reg *telemetry.Registry) {
 		feedDelivered: reg.Counter("transport.server.feed.delivered"),
 		conns:         reg.Counter("transport.server.conns"),
 		readErrors:    reg.Counter("transport.server.read.errors"),
+		sendErrors:    reg.Counter("transport.server.send.errors"),
 		queryLat:      reg.Histogram("transport.server.query"),
 		reg:           reg,
 	})
@@ -369,11 +370,15 @@ func (s *Server) serveQuery(cs *connState, payload []byte) {
 	s.served.Add(1)
 	tel.queries.Inc()
 	tel.queryLat.ObserveExemplar(time.Since(start), tr.ID())
+	// Retain the serve trace before staging the reply: the coalescer may
+	// write inline, so the client can hold the result — and look the trace
+	// up — before stage returns. A send failure therefore lands in the
+	// warning log and the send-error counter, not in the finished trace.
+	tr.Finish()
 	if err := cs.out.stage(wire.KindQueryResult, &resp); err != nil {
 		s.warnf("transport: send result: %v", err)
-		tr.Fail(err)
+		tel.sendErrors.Inc()
 	}
-	tr.Finish()
 }
 
 // PublishFeed pushes a new document to matching subscribers (callers invoke
