@@ -39,12 +39,15 @@ lint: vet
 check: build lint test race
 
 # Decoder robustness: a short fixed-iteration fuzz of the postings codec
-# (cheap enough for every CI run — the seed corpus in codec_test.go already
-# pins the tricky edges, so even 0 new execs still exercises them all).
-# For a real expedition run `go test -fuzz FuzzPostingsCodec ./internal/docstore`
+# and of the v2 snapshot loader that adopts postings blocks verbatim
+# (cheap enough for every CI run — the seed corpora in codec_test.go and
+# snapfile_test.go already pin the tricky edges, so even 0 new execs still
+# exercises them all). For a real expedition run
+# `go test -fuzz FuzzPostingsCodec ./internal/docstore` (or FuzzLoadSnapshot)
 # with a time budget instead.
 fuzz-codec:
 	$(GO) test -run XXX -fuzz FuzzPostingsCodec -fuzztime 2000x ./internal/docstore
+	$(GO) test -run XXX -fuzz FuzzLoadSnapshot -fuzztime 2000x ./internal/docstore
 
 # Ask-pipeline perf baseline: the sequential/parallel BenchmarkAsk pair,
 # archived as JSON so future PRs have a trajectory to diff against.
@@ -90,12 +93,13 @@ bench-docstore-check:
 
 # Docstore write-path baseline: group-commit writers vs the serialized
 # one-fsync-per-op discipline the seed used, at 1/4/16 writers, the WAL
-# replay (recovery) benchmark, and the 32k-doc bulk load into an in-memory
-# vs a durable store. Writer p50/p99 latency, wal-syncs/op, and the bulk
+# replay (recovery) benchmark, the 32k-doc bulk load into an in-memory vs a
+# durable store, the reopen of a compacted 16k-doc store, and one freeze at
+# 8k and 32k documents. Writer p50/p99 latency, wal-syncs/op, and the bulk
 # load's epochs/op and freezes/op land in the `extra` field of each line;
 # archived for cross-PR diffing.
 bench-wal:
-	$(GO) test -run XXX -bench 'PutParallel|WALReplay|BulkLoad' -benchmem ./internal/docstore | $(GO) run ./cmd/benchjson | tee BENCH_wal.json
+	$(GO) test -run XXX -bench 'PutParallel|WALReplay|BulkLoad|Reopen|Freeze' -benchmem ./internal/docstore | $(GO) run ./cmd/benchjson | tee BENCH_wal.json
 
 # Write-path regression gate, two tiers like bench-docstore-check. WALReplay
 # is a serial deterministic recovery scan and holds the tight default

@@ -210,7 +210,7 @@ func (s *Store) commitWindow(window []*commitReq) {
 					continue
 				}
 				if op.op == opPut {
-					s.master.applyPut(op.doc, op.tokens)
+					s.master.applyPut(op.doc)
 					s.puts.Add(1)
 					s.tel.puts.Inc()
 				} else {

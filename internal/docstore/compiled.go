@@ -7,14 +7,20 @@ import (
 	"sync"
 )
 
-// compiledIndex is the frozen, read-optimized form of the text index. It is
-// built once per epoch freeze (and once at snapshot load) from the mutable
-// map-based invIndex, and is immutable afterwards: live documents get dense
-// ordinals in ascending-ID order, every term's postings become
-// delta+varint-compressed blocks (codec.go), and each block carries the
-// maximum (1+ln tf)/norm ratio of its postings so the block-max search can
-// skip it wholesale when even that optimistic bound cannot reach the
-// current top-k threshold.
+// compiledIndex is the store's one text index: immutable, block-compressed
+// and built append-only. Live documents get dense ordinals in ascending-ID
+// order, every term's postings are delta+varint-compressed blocks
+// (codec.go), and each block carries the maximum (1+ln tf)/norm ratio of
+// its postings so the block-max search can skip it wholesale when even that
+// optimistic bound cannot reach the current top-k threshold.
+//
+// Two constructors build it. mergeIndex makes every new base — at a freeze,
+// at compaction, for a bulk load into an empty store and for the WAL tail at
+// Open — by merging the old base's postings with a delta of documents
+// written since, one linear pass per term. loadSnapshotFile (snapfile.go)
+// adopts a v2 snapshot's blocks verbatim at cold start. Nothing keeps a
+// mutable text index beside it: the documents written since the last base
+// live in the snapshot overlay, with their term frequencies.
 type compiledIndex struct {
 	ids     []string    // ordinal -> document ID (ascending, dense)
 	docs    []*Document // ordinal -> document (shared with state.docs)
@@ -26,12 +32,15 @@ type compiledIndex struct {
 	blocks []blockMeta // all terms' block directory, term-major
 	data   []byte      // all terms' encoded blocks, one arena
 
-	// Forward index: per ordinal, the sorted IDs (into termList) of the
-	// document's distinct terms. The overlay uses it to maintain masked
-	// document frequencies incrementally in O(|doc terms|) at mask time,
-	// so the query path never intersects masked sets with postings.
+	// Forward index, flattened: the sorted IDs (into termList) of ordinal
+	// o's distinct terms are fwdTerms[fwdOff[o]:fwdOff[o+1]]. The overlay
+	// uses it to maintain masked document frequencies incrementally in
+	// O(|doc terms|) at mask time, so the query path never intersects
+	// masked sets with postings; mergeIndex reads a kept document's term
+	// count from it.
 	termList []string
-	fwd      [][]uint32
+	fwdOff   []uint32
+	fwdTerms []uint32
 }
 
 // termPostings locates one term's blocks inside the shared directory.
@@ -54,76 +63,236 @@ type blockMeta struct {
 	maxRatio float64
 }
 
-// compileIndex freezes inv (and the matching docs map) into a
-// compiledIndex. Documents are ordered by ID so that equal scores tie-break
-// identically whether a doc is identified by ordinal or by ID.
-func compileIndex(inv *invIndex, docs map[string]*Document) *compiledIndex {
-	n := len(inv.docLen)
+// deltaDoc is one live document joining a new base: the document, its token
+// count and its distinct terms (shared and read-only; the overlay's own
+// slices are passed as they are).
+type deltaDoc struct {
+	doc    *Document
+	docLen int
+	terms  []termTF
+}
+
+// termTF is one distinct term of a document and its frequency there.
+type termTF struct {
+	t  string
+	tf uint32
+}
+
+// countTerms returns tokens' distinct terms with their frequencies, in term
+// order.
+func countTerms(tokens []string) []termTF {
+	sorted := slices.Clone(tokens)
+	slices.Sort(sorted)
+	out := make([]termTF, 0, len(sorted))
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
+		}
+		out = append(out, termTF{t: sorted[i], tf: uint32(j - i)})
+		i = j
+	}
+	return out
+}
+
+// docTerms returns the sorted term IDs of ordinal ord's distinct terms.
+func (cx *compiledIndex) docTerms(ord uint32) []uint32 {
+	return cx.fwdTerms[cx.fwdOff[ord]:cx.fwdOff[ord+1]]
+}
+
+// ratio is one posting's score ratio (1+ln tf)/norm, the quantity block and
+// term bounds maximize.
+func (cx *compiledIndex) ratio(ord, tf uint32) float64 {
+	return (1 + math.Log(float64(tf))) / cx.norms[ord]
+}
+
+// mergeIndex builds a new base index from base (nil for none) with every
+// document whose ID is in masked or reappears in delta dropped, plus delta:
+// live documents sorted by strictly ascending ID. Documents are ordered by
+// ID so that equal scores tie-break identically whether a doc is identified
+// by ordinal or by ID.
+//
+// The merge is linear: each base term's blocks are decoded once, their
+// ordinals remapped (the remap is monotone, so they stay sorted), the delta
+// postings — grouped per term in ascending ordinal as the sorted delta is
+// walked — are interleaved, and the result is re-encoded into blockSize
+// chunks. No posting is hashed and no term's postings are sorted. The
+// output depends only on the live set: merging a churned base equals
+// building the same documents from nothing, block for block. With nothing
+// to drop or add, base itself is returned.
+func mergeIndex(base *compiledIndex, masked map[string]bool, delta []deltaDoc) *compiledIndex {
+	if base != nil && len(masked) == 0 && len(delta) == 0 {
+		return base
+	}
+	if base == nil {
+		base = &compiledIndex{}
+	}
+	const dropped = ordSentinel
+	remap := make([]uint32, len(base.ids)) // base ordinal -> new ordinal, or dropped
+	for id := range masked {
+		if o, ok := base.ords[id]; ok {
+			remap[o] = dropped
+		}
+	}
+	n := len(base.ids) + len(delta)
 	cx := &compiledIndex{
 		ids:     make([]string, 0, n),
-		docs:    make([]*Document, n),
-		docLens: make([]uint32, n),
-		norms:   make([]float64, n),
+		docs:    make([]*Document, 0, n),
+		docLens: make([]uint32, 0, n),
+		norms:   make([]float64, 0, n),
 		ords:    make(map[string]uint32, n),
-		terms:   make(map[string]termPostings, len(inv.postings)),
-		fwd:     make([][]uint32, n),
+		fwdOff:  make([]uint32, 1, n+1),
 	}
-	for id := range inv.docLen {
-		cx.ids = append(cx.ids, id)
-	}
-	sort.Strings(cx.ids)
-	for i, id := range cx.ids {
-		cx.ords[id] = uint32(i)
-		cx.docLens[i] = uint32(inv.docLen[id])
-		cx.norms[i] = math.Sqrt(float64(inv.docLen[id]) + 1)
-		cx.docs[i] = docs[id]
-	}
-
-	cx.termList = make([]string, 0, len(inv.postings))
-	for t := range inv.postings {
-		cx.termList = append(cx.termList, t)
-	}
-	sort.Strings(cx.termList)
-
-	var entries []postEntry
-	for ti, t := range cx.termList {
-		p := inv.postings[t]
-		entries = entries[:0]
-		for id, tf := range p {
-			entries = append(entries, postEntry{ord: cx.ords[id], tf: uint32(tf)})
+	keepBase := func(i int) {
+		if remap[i] == dropped {
+			return
 		}
-		slices.SortFunc(entries, func(a, b postEntry) int {
-			return int(int64(a.ord) - int64(b.ord))
-		})
-		tm := termPostings{df: int32(len(entries)), blockOff: int32(len(cx.blocks))}
-		for start := 0; start < len(entries); start += blockSize {
-			end := min(start+blockSize, len(entries))
-			blk := entries[start:end]
-			bm := blockMeta{
-				off:      uint32(len(cx.data)),
-				firstOrd: blk[0].ord,
-				lastOrd:  blk[len(blk)-1].ord,
-				count:    uint16(len(blk)),
+		remap[i] = uint32(len(cx.ids))
+		cx.addDoc(base.ids[i], base.docs[i], base.docLens[i], base.fwdOff[i+1]-base.fwdOff[i])
+	}
+	deltaOrd := make([]uint32, len(delta))
+	i := 0
+	for j := range delta {
+		id := delta[j].doc.ID
+		for ; i < len(base.ids) && base.ids[i] <= id; i++ {
+			if base.ids[i] == id {
+				remap[i] = dropped // superseded by its delta version
 			}
-			for _, e := range blk {
-				r := (1 + math.Log(float64(e.tf))) / cx.norms[e.ord]
-				if r > bm.maxRatio {
-					bm.maxRatio = r
+			keepBase(i)
+		}
+		deltaOrd[j] = uint32(len(cx.ids))
+		cx.addDoc(id, delta[j].doc, uint32(delta[j].docLen), uint32(len(delta[j].terms)))
+	}
+	for ; i < len(base.ids); i++ {
+		keepBase(i)
+	}
+	cx.fwdTerms = make([]uint32, cx.fwdOff[len(cx.ids)])
+	fill := slices.Clone(cx.fwdOff[:len(cx.ids)])
+
+	// Delta postings per term, in ascending new ordinal: the delta is walked
+	// in ID order, which is ordinal order.
+	dpost := make(map[string][]postEntry)
+	for j := range delta {
+		for _, e := range delta[j].terms {
+			dpost[e.t] = append(dpost[e.t], postEntry{ord: deltaOrd[j], tf: e.tf})
+		}
+	}
+	dterms := make([]string, 0, len(dpost))
+	for t := range dpost {
+		dterms = append(dterms, t)
+	}
+	sort.Strings(dterms)
+
+	cx.terms = make(map[string]termPostings, len(base.termList)+len(dterms))
+	cx.termList = make([]string, 0, len(base.termList)+len(dterms))
+	cx.blocks = make([]blockMeta, 0, len(base.blocks)+len(dterms))
+	cx.data = make([]byte, 0, len(base.data)+len(dpost)*8)
+	var kept, merged []postEntry
+	var ords, tfs [blockSize]uint32
+	bi, di := 0, 0
+	for bi < len(base.termList) || di < len(dterms) {
+		var t string
+		var dp []postEntry
+		kept = kept[:0]
+		fromBase := bi < len(base.termList) && (di == len(dterms) || base.termList[bi] <= dterms[di])
+		if fromBase {
+			t = base.termList[bi]
+			bi++
+			for _, bm := range base.termBlocks(base.terms[t]) {
+				cnt := int(bm.count)
+				if _, err := decodePostingsBlock(base.data[bm.off:], cnt, ords[:cnt], tfs[:cnt]); err != nil {
+					panic(err) // in-memory arena, validated at build/load time
+				}
+				for k := 0; k < cnt; k++ {
+					if no := remap[ords[k]]; no != dropped {
+						kept = append(kept, postEntry{ord: no, tf: tfs[k]})
+					}
 				}
 			}
-			cx.data = appendPostingsBlock(cx.data, blk)
-			cx.blocks = append(cx.blocks, bm)
-			if bm.maxRatio > tm.maxRatio {
-				tm.maxRatio = bm.maxRatio
-			}
 		}
-		tm.nBlocks = int32(len(cx.blocks)) - tm.blockOff
-		cx.terms[t] = tm
-		for _, e := range entries {
-			cx.fwd[e.ord] = append(cx.fwd[e.ord], uint32(ti))
+		if !fromBase || di < len(dterms) && dterms[di] == t {
+			t = dterms[di]
+			dp = dpost[t]
+			di++
+		}
+		postings := kept
+		switch {
+		case len(dp) == 0:
+		case len(kept) == 0:
+			postings = dp
+		default:
+			merged = interleave(merged[:0], kept, dp)
+			postings = merged
+		}
+		if len(postings) > 0 { // a term whose every carrier went drops out
+			cx.addTerm(t, postings, fill)
 		}
 	}
 	return cx
+}
+
+// interleave appends the union of two postings lists, each sorted by
+// strictly increasing ordinal and disjoint from the other, to dst in
+// ordinal order.
+func interleave(dst, a, b []postEntry) []postEntry {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i].ord < b[j].ord {
+			dst = append(dst, a[i])
+			i++
+		} else {
+			dst = append(dst, b[j])
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}
+
+// addDoc appends the next ordinal: its document, token count, norm and
+// forward-index extent (nTerms distinct terms).
+func (cx *compiledIndex) addDoc(id string, d *Document, docLen, nTerms uint32) {
+	cx.ords[id] = uint32(len(cx.ids))
+	cx.ids = append(cx.ids, id)
+	cx.docs = append(cx.docs, d)
+	cx.docLens = append(cx.docLens, docLen)
+	cx.norms = append(cx.norms, math.Sqrt(float64(docLen)+1))
+	cx.fwdOff = append(cx.fwdOff, cx.fwdOff[len(cx.fwdOff)-1]+nTerms)
+}
+
+// addTerm appends the next term (in ascending term order) with its
+// postings, sorted by strictly increasing ordinal: it encodes them into
+// blockSize chunks with their directory entries and bounds, and records the
+// term in each carrier's forward-index slot, advancing fill.
+func (cx *compiledIndex) addTerm(t string, postings []postEntry, fill []uint32) {
+	ti := uint32(len(cx.termList))
+	cx.termList = append(cx.termList, t)
+	tm := termPostings{df: int32(len(postings)), blockOff: int32(len(cx.blocks))}
+	for start := 0; start < len(postings); start += blockSize {
+		blk := postings[start:min(start+blockSize, len(postings))]
+		bm := blockMeta{
+			off:      uint32(len(cx.data)),
+			firstOrd: blk[0].ord,
+			lastOrd:  blk[len(blk)-1].ord,
+			count:    uint16(len(blk)),
+		}
+		for _, e := range blk {
+			if r := cx.ratio(e.ord, e.tf); r > bm.maxRatio {
+				bm.maxRatio = r
+			}
+		}
+		cx.data = appendPostingsBlock(cx.data, blk)
+		cx.blocks = append(cx.blocks, bm)
+		if bm.maxRatio > tm.maxRatio {
+			tm.maxRatio = bm.maxRatio
+		}
+	}
+	tm.nBlocks = int32(len(cx.blocks)) - tm.blockOff
+	cx.terms[t] = tm
+	for _, e := range postings {
+		cx.fwdTerms[fill[e.ord]] = ti
+		fill[e.ord]++
+	}
 }
 
 // termBlocks returns the slice of block metadata for tm.
@@ -252,6 +421,26 @@ func (c *cursor) seek(target uint32, st *searchStats) {
 // contributing a relative error of 2^-53; 1e-9 over-covers that by ~10^6×
 // while costing no measurable skipping power.
 const boundSlack = 1 + 1e-9
+
+// scored is a ranked text hit. ord is the document's ordinal in the
+// compiled base index, or -1 for overlay documents — it lets the hit
+// assembler resolve the Document without a map lookup.
+type scored struct {
+	id    string
+	ord   int32
+	score float64
+}
+
+// scoredBetter is the deterministic (score desc, id asc) ranking order; ids
+// are unique so it is a strict total order, which makes heap selection
+// provably identical to sort-then-truncate — and makes the selected top-k
+// set independent of the order candidates arrive in.
+func scoredBetter(a, b scored) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	return a.id < b.id
+}
 
 // searchScratch is the pooled per-query state that makes the steady-state
 // text query allocation-free: every slice below retains its backing array

@@ -147,7 +147,9 @@ func unmarshalDocument(b []byte) (*Document, error) {
 		if n > 1<<20 {
 			return nil, fmt.Errorf("docstore: meta count %d too large", n)
 		}
-		d.Meta = make(map[string]string, n)
+		// Each entry takes at least two bytes (two empty strings), so the
+		// bytes left bound the size hint whatever the count claims.
+		d.Meta = make(map[string]string, min(n, uint64(r.Remaining()/2)))
 		for i := uint64(0); i < n; i++ {
 			k := r.String()
 			v := r.String()

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
+	"slices"
 )
 
 // Snapshot file, version 2: the compiled form of the store, so cold start
-// decodes postings blocks instead of re-tokenizing every document.
+// adopts its postings blocks as the compiled base instead of re-tokenizing
+// every document.
 //
 //	magic "AGORASN2" (8 bytes)
 //	payload:
@@ -67,64 +70,6 @@ func writeSnapshotV2(w io.Writer, cx *compiledIndex) error {
 	return err
 }
 
-// mergeLiveSet folds a snapshot's overlay into its compiled base and
-// recompiles: masked base documents drop out, overlay documents join with
-// their precomputed term frequencies. No document is re-tokenized — base
-// postings come from decoding the compiled blocks, overlay postings from
-// the overlay's own term maps.
-func mergeLiveSet(sn *snapshot) *compiledIndex {
-	cx := sn.base.cx
-	ov := sn.ov
-	inv := newInvIndex()
-	docs := make(map[string]*Document, sn.docCount)
-	for i, id := range cx.ids {
-		if ov.masked[id] {
-			continue
-		}
-		docs[id] = cx.docs[i]
-		inv.docLen[id] = int(cx.docLens[i])
-		inv.docs++
-	}
-	var ords, tfs [blockSize]uint32
-	for _, t := range cx.termList {
-		tm := cx.terms[t]
-		var p map[string]int
-		for _, bm := range cx.termBlocks(tm) {
-			cnt := int(bm.count)
-			if _, err := decodePostingsBlock(cx.data[bm.off:], cnt, ords[:cnt], tfs[:cnt]); err != nil {
-				panic(err) // in-memory arena, validated at build/load time
-			}
-			for j := 0; j < cnt; j++ {
-				id := cx.ids[ords[j]]
-				if ov.masked[id] {
-					continue
-				}
-				if p == nil {
-					p = make(map[string]int, cnt)
-				}
-				p[id] = int(tfs[j])
-			}
-		}
-		if p != nil {
-			inv.postings[t] = p
-		}
-	}
-	for id, d := range ov.byID {
-		docs[id] = d
-		inv.docLen[id] = ov.docLen[id]
-		inv.docs++
-		for t, tf := range ov.terms[id] {
-			p, ok := inv.postings[t]
-			if !ok {
-				p = make(map[string]int)
-				inv.postings[t] = p
-			}
-			p[id] = tf
-		}
-	}
-	return compileIndex(inv, docs)
-}
-
 // snapReader is a bounds-checked cursor over the snapshot payload.
 type snapReader struct {
 	b   []byte
@@ -149,124 +94,177 @@ func (r *snapReader) bytes(n uint64) ([]byte, error) {
 	return out, nil
 }
 
-// loadSnapshotFile loads a v2 snapshot into the (fresh, empty) master
-// state. It returns (false, nil) when the file is missing or is a legacy
-// pre-v2 snapshot — the caller falls back to WAL-style replay — and an
-// error when a v2 file is corrupt, matching the mid-log corruption
-// semantics of the WAL itself.
-func loadSnapshotFile(path string, st *state) (bool, error) {
+// loadSnapshotFile loads a v2 snapshot: its documents into the (fresh,
+// empty) master state, its text index as the returned compiled base. It
+// returns (nil, false, nil) when the file is missing or is a legacy pre-v2
+// snapshot — the caller falls back to WAL-style replay — and an error when
+// a v2 file is corrupt, matching the mid-log corruption semantics of the
+// WAL itself.
+func loadSnapshotFile(path string, st *state) (*compiledIndex, bool, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return false, nil
+			return nil, false, nil
 		}
-		return false, fmt.Errorf("docstore: reading snapshot: %w", err)
+		return nil, false, fmt.Errorf("docstore: reading snapshot: %w", err)
 	}
 	if len(raw) < len(snapMagic)+4 || string(raw[:len(snapMagic)]) != snapMagic {
-		return false, nil
+		return nil, false, nil
 	}
 	payload := raw[len(snapMagic) : len(raw)-4]
 	want := binary.LittleEndian.Uint32(raw[len(raw)-4:])
 	if crc32.ChecksumIEEE(payload) != want {
-		return false, fmt.Errorf("docstore: corrupt snapshot: checksum mismatch")
+		return nil, false, fmt.Errorf("docstore: corrupt snapshot: checksum mismatch")
 	}
-	r := &snapReader{b: payload}
+	cx, err := decodeSnapshot(payload, st)
+	if err != nil {
+		return nil, false, err
+	}
+	return cx, true, nil
+}
 
+// decodeSnapshot decodes a v2 payload (see loadSnapshotFile). The postings
+// blocks are adopted verbatim into the compiled arena; the one decode pass
+// that validates them also yields each block's directory entry and bound
+// and the forward index. Since query-time cursors trust the arena, every
+// invariant they rely on is checked here: document IDs and terms strictly
+// ascending, each term's postings strictly ascending across its blocks
+// (within a block the codec checks it) and below nDocs, and exactly df
+// postings per term (the block counts follow from df, and the payload must
+// end where the last term's blocks do).
+func decodeSnapshot(payload []byte, st *state) (*compiledIndex, error) {
+	r := &snapReader{b: payload}
 	nDocs, err := r.uvarint()
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	if nDocs > uint64(len(payload)) { // each doc record is at least one byte
-		return false, fmt.Errorf("docstore: corrupt snapshot: %d docs in %d payload bytes", nDocs, len(payload))
+		return nil, fmt.Errorf("docstore: corrupt snapshot: %d docs in %d payload bytes", nDocs, len(payload))
 	}
-	ids := make([]string, nDocs)
-	for i := range ids {
+	n := int(nDocs)
+	st.docs = make(map[string]*Document, n) // the master is fresh: nothing to keep
+	cx := &compiledIndex{
+		ids:     make([]string, n),
+		docs:    make([]*Document, n),
+		docLens: make([]uint32, n),
+		norms:   make([]float64, n),
+		ords:    make(map[string]uint32, n),
+		fwdOff:  make([]uint32, n+1),
+	}
+	for i := 0; i < n; i++ {
 		dlen, err := r.uvarint()
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		db, err := r.bytes(dlen)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		d, err := unmarshalDocument(db)
 		if err != nil {
-			return false, fmt.Errorf("docstore: corrupt snapshot: %w", err)
+			return nil, fmt.Errorf("docstore: corrupt snapshot: %w", err)
 		}
-		ids[i] = d.ID
-		// Mirror applyPut minus the inverted index (rebuilt from the
-		// compiled postings below, no tokenization) — the master is fresh,
-		// so there is no previous version to displace.
-		st.docs[d.ID] = d
-		for _, t := range d.Topics {
-			set, ok := st.byTopic[t]
-			if !ok {
-				set = make(map[string]bool)
-				st.byTopic[t] = set
-			}
-			set[d.ID] = true
+		if d.ID == "" || i > 0 && d.ID <= cx.ids[i-1] {
+			return nil, fmt.Errorf("docstore: corrupt snapshot: document %d id %q not above %q", i, d.ID, cx.ids[max(i-1, 0)])
 		}
-		if len(d.Concept) > 0 {
-			st.vec.Put(d.ID, d.Concept)
-		}
-		st.byTime.insert(d.CreatedAt, d.ID)
-		if hasVisual(d) {
-			st.visuals++
-		}
+		cx.ids[i], cx.docs[i], cx.ords[d.ID] = d.ID, d, uint32(i)
+		// The master is fresh and the ids distinct, so there is no previous
+		// version to displace.
+		st.applyPut(d)
 	}
-	for _, id := range ids {
+	for i := 0; i < n; i++ {
 		dl, err := r.uvarint()
 		if err != nil {
-			return false, err
+			return nil, err
 		}
-		st.inv.docLen[id] = int(dl)
-		st.inv.docs++
+		if dl > math.MaxUint32 {
+			return nil, fmt.Errorf("docstore: corrupt snapshot: document %d length %d", i, dl)
+		}
+		cx.docLens[i] = uint32(dl)
+		cx.norms[i] = math.Sqrt(float64(dl) + 1)
 	}
 	nTerms, err := r.uvarint()
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	if nTerms > uint64(len(payload)) {
-		return false, fmt.Errorf("docstore: corrupt snapshot: %d terms in %d payload bytes", nTerms, len(payload))
+		return nil, fmt.Errorf("docstore: corrupt snapshot: %d terms in %d payload bytes", nTerms, len(payload))
 	}
+	cx.terms = make(map[string]termPostings, nTerms)
+	cx.termList = make([]string, 0, nTerms)
+	cx.data = make([]byte, 0, len(payload)-r.off)
+	// termOrds holds every posting's ordinal, term-major, until the forward
+	// index can be laid out; fwdOff[o+1] counts ordinal o's terms meanwhile.
+	var termOrds []uint32
 	var ords, tfs [blockSize]uint32
 	for ti := uint64(0); ti < nTerms; ti++ {
 		tlen, err := r.uvarint()
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		tb, err := r.bytes(tlen)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		term := string(tb)
+		if ti > 0 && term <= cx.termList[ti-1] {
+			return nil, fmt.Errorf("docstore: corrupt snapshot: term %q not above %q", term, cx.termList[ti-1])
+		}
 		df, err := r.uvarint()
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		if df == 0 || df > nDocs {
-			return false, fmt.Errorf("docstore: corrupt snapshot: term %q df %d of %d docs", term, df, nDocs)
+			return nil, fmt.Errorf("docstore: corrupt snapshot: term %q df %d of %d docs", term, df, nDocs)
 		}
-		p := make(map[string]int, df)
+		tm := termPostings{df: int32(df), blockOff: int32(len(cx.blocks))}
+		prev := int64(-1)
 		for left := int(df); left > 0; {
 			cnt := min(left, blockSize)
-			n, err := decodePostingsBlock(payload[r.off:], cnt, ords[:cnt], tfs[:cnt])
+			nb, err := decodePostingsBlock(payload[r.off:], cnt, ords[:cnt], tfs[:cnt])
 			if err != nil {
-				return false, fmt.Errorf("docstore: corrupt snapshot: term %q: %w", term, err)
+				return nil, fmt.Errorf("docstore: corrupt snapshot: term %q: %w", term, err)
 			}
-			r.off += n
-			for j := 0; j < cnt; j++ {
-				if uint64(ords[j]) >= nDocs {
-					return false, fmt.Errorf("docstore: corrupt snapshot: term %q ordinal %d of %d", term, ords[j], nDocs)
+			if int64(ords[0]) <= prev || uint64(ords[cnt-1]) >= nDocs {
+				return nil, fmt.Errorf("docstore: corrupt snapshot: term %q ordinals %d..%d after %d of %d docs", term, ords[0], ords[cnt-1], prev, nDocs)
+			}
+			bm := blockMeta{off: uint32(len(cx.data)), firstOrd: ords[0], lastOrd: ords[cnt-1], count: uint16(cnt)}
+			for k := 0; k < cnt; k++ {
+				if q := cx.ratio(ords[k], tfs[k]); q > bm.maxRatio {
+					bm.maxRatio = q
 				}
-				p[ids[ords[j]]] = int(tfs[j])
+				cx.fwdOff[ords[k]+1]++
 			}
+			if bm.maxRatio > tm.maxRatio {
+				tm.maxRatio = bm.maxRatio
+			}
+			termOrds = append(termOrds, ords[:cnt]...)
+			cx.data = append(cx.data, payload[r.off:r.off+nb]...)
+			cx.blocks = append(cx.blocks, bm)
+			r.off += nb
 			left -= cnt
+			prev = int64(ords[cnt-1])
 		}
-		st.inv.postings[term] = p
+		tm.nBlocks = int32(len(cx.blocks)) - tm.blockOff
+		cx.terms[term] = tm
+		cx.termList = append(cx.termList, term)
 	}
 	if r.off != len(payload) {
-		return false, fmt.Errorf("docstore: corrupt snapshot: %d trailing bytes", len(payload)-r.off)
+		return nil, fmt.Errorf("docstore: corrupt snapshot: %d trailing bytes", len(payload)-r.off)
 	}
-	return true, nil
+	for o := 0; o < n; o++ {
+		cx.fwdOff[o+1] += cx.fwdOff[o]
+	}
+	cx.fwdTerms = make([]uint32, len(termOrds))
+	fill := slices.Clone(cx.fwdOff[:n])
+	pos := 0
+	for ti, t := range cx.termList {
+		end := pos + int(cx.terms[t].df)
+		for _, o := range termOrds[pos:end] {
+			cx.fwdTerms[fill[o]] = uint32(ti)
+			fill[o]++
+		}
+		pos = end
+	}
+	return cx, nil
 }

@@ -1,7 +1,9 @@
 package docstore
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/feature"
 )
@@ -19,9 +21,14 @@ import (
 //	snapshot = { base: frozen state, ov: docs written since the freeze }
 //
 // Each commit window clones the (small) overlay once, folds its writes in,
-// and republishes; once the overlay would pass overlayLimit the master is
-// deep-cloned into a fresh base and the overlay resets — small-batch
-// coalescing that amortizes the O(n) freeze over many writes.
+// and republishes; once the overlay would pass overlayLimit the store
+// freezes: the master's documents, LSH, skiplist and topics are deep-cloned
+// into a fresh base, and the base's text index is rebuilt by mergeIndex
+// from the old base and the overlay plus the window — a linear merge of
+// postings blocks, not a recompile. The overlay then resets. The master
+// keeps no text index at all: between freezes the overlay holds the
+// written documents' term frequencies. Small-batch coalescing amortizes the
+// O(n) freeze over many writes.
 //
 // Exactness contract: every read through (base, ov) must be result-identical
 // to the same read against a monolithic index containing the live documents.
@@ -33,13 +40,12 @@ import (
 // feature.Extra). TestSnapshotMatchesMonolithic pins this equivalence
 // across freeze boundaries.
 
-// state bundles the five index structures. The master state is guarded by
-// Store.mu; frozen copies inside snapshots are immutable. The master keeps
-// the mutable map-based inv; frozen bases instead carry cx, the
-// block-compressed compiled form queries run against (inv is nil there).
+// state bundles the index structures. The master state is guarded by
+// Store.mu; frozen copies inside snapshots are immutable. Only frozen bases
+// carry cx, the compiled text index queries run against; the master's cx is
+// nil (the text index is rebuilt from the old base at each freeze).
 type state struct {
 	docs    map[string]*Document
-	inv     *invIndex
 	cx      *compiledIndex
 	vec     *feature.LSH
 	byTime  *skiplist
@@ -52,20 +58,23 @@ type state struct {
 func newState(opts Options) *state {
 	return &state{
 		docs:    make(map[string]*Document),
-		inv:     newInvIndex(),
 		vec:     feature.NewLSH(opts.Seed, opts.ConceptDim, opts.LSHTables, opts.LSHBits),
 		byTime:  newSkiplist(opts.Seed + 1),
 		byTopic: make(map[string]map[string]bool),
 	}
 }
 
-// applyPut updates in-memory state only (no WAL, no snapshot publish).
-func (st *state) applyPut(d *Document, tokens []string) {
+// applyPut updates in-memory state only (no WAL, no snapshot publish, no
+// text index: the overlay and the next freeze carry the document's terms).
+func (st *state) applyPut(d *Document) {
 	if old, ok := st.docs[d.ID]; ok {
 		st.byTime.remove(old.CreatedAt, old.ID)
 		st.removeTopics(old)
 		if hasVisual(old) {
 			st.visuals--
+		}
+		if len(old.Concept) > 0 && len(d.Concept) == 0 {
+			st.vec.Delete(d.ID) // the LSH holds exactly the live docs with a concept
 		}
 	}
 	st.docs[d.ID] = d
@@ -77,11 +86,8 @@ func (st *state) applyPut(d *Document, tokens []string) {
 		}
 		set[d.ID] = true
 	}
-	st.inv.add(d.ID, tokens)
 	if len(d.Concept) > 0 {
 		st.vec.Put(d.ID, d.Concept)
-	} else {
-		st.vec.Delete(d.ID)
 	}
 	st.byTime.insert(d.CreatedAt, d.ID)
 	if hasVisual(d) {
@@ -95,7 +101,6 @@ func (st *state) applyDelete(id string) {
 		return
 	}
 	delete(st.docs, id)
-	st.inv.removeDoc(id)
 	st.vec.Delete(id)
 	st.byTime.remove(d.CreatedAt, id)
 	st.removeTopics(d)
@@ -115,13 +120,11 @@ func (st *state) removeTopics(d *Document) {
 	}
 }
 
-// freeze copies the index structures into an immutable base. Documents
+// freeze copies the index structures into an immutable base whose text
+// index is cx, built by the caller for the same live set. Documents
 // themselves are shared: the write path never mutates a stored *Document in
 // place (Put installs a fresh clone), so pointers are safe across epochs.
-// The text index is not cloned — it is compiled into the immutable
-// block-compressed form the read path wants anyway, so the freeze does the
-// work queries would otherwise repeat.
-func (st *state) freeze() *state {
+func (st *state) freeze(cx *compiledIndex) *state {
 	docs := make(map[string]*Document, len(st.docs))
 	for id, d := range st.docs {
 		docs[id] = d
@@ -136,7 +139,7 @@ func (st *state) freeze() *state {
 	}
 	return &state{
 		docs:    docs,
-		cx:      compileIndex(st.inv, docs),
+		cx:      cx,
 		vec:     st.vec.Clone(),
 		byTime:  st.byTime.clone(),
 		byTopic: topics,
@@ -168,15 +171,20 @@ type overlay struct {
 	// with postings.
 	maskedDF map[string]int
 	byID     map[string]*Document
-	byTime   []timeEntry               // ascending (key, id)
-	terms    map[string]map[string]int // docID -> term -> tf (inner maps immutable)
+	byTime   []timeEntry         // ascending (key, id)
+	terms    map[string][]termTF // docID -> distinct terms with tf, in term order (immutable)
 	docLen   map[string]int
 	// termPost inverts terms (term -> carriers sorted by docID) so per-term
 	// document frequency and overlay scoring are O(carriers), not
 	// O(overlay docs). Slices are copy-on-write: cloneNextN shares them, and
 	// any write replaces the touched term's slice with a fresh copy.
 	termPost map[string][]ovPost
-	extras   []feature.Extra // overlay concept vectors with precomputed signatures
+	// termAdj is the live vocabulary minus the base's: terms every base
+	// carrier of which is masked count -1, terms only overlay documents
+	// carry count +1. Maintained at each fold from liveDF, so Stats().Terms
+	// stays exact without a text index on the master.
+	termAdj int
+	extras  []feature.Extra // overlay concept vectors with precomputed signatures
 }
 
 // ovPost is one overlay posting: a carrier document and its term frequency.
@@ -193,11 +201,12 @@ type ovPost struct {
 func (ov *overlay) cloneNextN(n int) *overlay {
 	nv := &overlay{
 		ops:      ov.ops + n,
+		termAdj:  ov.termAdj,
 		masked:   make(map[string]bool, len(ov.masked)+1),
 		maskedDF: make(map[string]int, len(ov.maskedDF)+8),
 		byID:     make(map[string]*Document, len(ov.byID)+1),
 		byTime:   append([]timeEntry(nil), ov.byTime...),
-		terms:    make(map[string]map[string]int, len(ov.terms)+1),
+		terms:    make(map[string][]termTF, len(ov.terms)+1),
 		docLen:   make(map[string]int, len(ov.docLen)+1),
 		termPost: make(map[string][]ovPost, len(ov.termPost)+8),
 		extras:   append([]feature.Extra(nil), ov.extras...),
@@ -227,14 +236,14 @@ func (ov *overlay) cloneNextN(n int) *overlay {
 // doc written since the freeze). The masked set is left alone: masking
 // records a fact about the base, which does not change within an overlay's
 // lifetime.
-func (nv *overlay) dropID(id string) {
+func (nv *overlay) dropID(id string, cx *compiledIndex) {
 	old, ok := nv.byID[id]
 	if !ok {
 		return
 	}
 	delete(nv.byID, id)
-	for t := range nv.terms[id] {
-		nv.delTermPost(t, id)
+	for _, e := range nv.terms[id] {
+		nv.delTermPost(e.t, id, cx)
 	}
 	delete(nv.terms, id)
 	delete(nv.docLen, id)
@@ -274,20 +283,17 @@ func (nv *overlay) removeTime(key int64, id string) {
 // vector). inBase says whether the base holds a (now superseded) version of
 // d.ID.
 func (nv *overlay) putDoc(d *Document, tokens []string, sigs []uint64, inBase bool, cx *compiledIndex) {
-	nv.dropID(d.ID)
+	nv.dropID(d.ID, cx)
 	if inBase {
 		nv.maskBase(d.ID, cx)
 	}
 	nv.byID[d.ID] = d
 	nv.insertTime(d.CreatedAt, d.ID)
-	tf := make(map[string]int, len(tokens))
-	for _, t := range tokens {
-		tf[t]++
-	}
-	nv.terms[d.ID] = tf
+	terms := countTerms(tokens)
+	nv.terms[d.ID] = terms
 	nv.docLen[d.ID] = len(tokens)
-	for t, n := range tf {
-		nv.setTermPost(t, d.ID, n)
+	for _, e := range terms {
+		nv.setTermPost(e.t, d.ID, int(e.tf), cx)
 	}
 	if len(d.Concept) > 0 {
 		nv.extras = append(nv.extras, feature.Extra{ID: d.ID, Vec: d.Concept, Sigs: sigs})
@@ -297,7 +303,7 @@ func (nv *overlay) putDoc(d *Document, tokens []string, sigs []uint64, inBase bo
 // deleteDoc folds a delete into a freshly cloned overlay (see putDoc): id
 // is removed, and masked when the base holds it.
 func (nv *overlay) deleteDoc(id string, inBase bool, cx *compiledIndex) {
-	nv.dropID(id)
+	nv.dropID(id, cx)
 	if inBase {
 		nv.maskBase(id, cx)
 	}
@@ -311,23 +317,33 @@ func (nv *overlay) maskBase(id string, cx *compiledIndex) {
 		return
 	}
 	nv.masked[id] = true
-	if cx == nil {
-		return
-	}
 	ord, ok := cx.ords[id]
 	if !ok {
 		return
 	}
-	for _, ti := range cx.fwd[ord] {
-		nv.maskedDF[cx.termList[ti]]++
+	for _, ti := range cx.docTerms(ord) {
+		t := cx.termList[ti]
+		if nv.liveDF(t, cx) == 1 {
+			nv.termAdj-- // id was the term's last live carrier
+		}
+		nv.maskedDF[t]++
 	}
+}
+
+// liveDF is term t's live document frequency under this overlay: base
+// postings minus masked carriers plus overlay carriers.
+func (ov *overlay) liveDF(t string, cx *compiledIndex) int {
+	return int(cx.terms[t].df) - ov.maskedDF[t] + len(ov.termPost[t])
 }
 
 // setTermPost records id carrying term with frequency tf, copying the
 // term's posting slice so shared predecessors stay immutable.
-func (nv *overlay) setTermPost(t, id string, tf int) {
+func (nv *overlay) setTermPost(t, id string, tf int, cx *compiledIndex) {
 	p := nv.termPost[t]
 	i := sort.Search(len(p), func(i int) bool { return p[i].id >= id })
+	if (i == len(p) || p[i].id != id) && nv.liveDF(t, cx) == 0 {
+		nv.termAdj++ // id is the term's only live carrier
+	}
 	np := make([]ovPost, 0, len(p)+1)
 	np = append(np, p[:i]...)
 	np = append(np, ovPost{id: id, tf: tf})
@@ -340,7 +356,7 @@ func (nv *overlay) setTermPost(t, id string, tf int) {
 
 // delTermPost removes id from term's posting slice, same copy-on-write
 // discipline.
-func (nv *overlay) delTermPost(t, id string) {
+func (nv *overlay) delTermPost(t, id string, cx *compiledIndex) {
 	p, ok := nv.termPost[t]
 	if !ok {
 		return
@@ -351,12 +367,15 @@ func (nv *overlay) delTermPost(t, id string) {
 	}
 	if len(p) == 1 {
 		delete(nv.termPost, t)
-		return
+	} else {
+		np := make([]ovPost, 0, len(p)-1)
+		np = append(np, p[:i]...)
+		np = append(np, p[i+1:]...)
+		nv.termPost[t] = np
 	}
-	np := make([]ovPost, 0, len(p)-1)
-	np = append(np, p[:i]...)
-	np = append(np, p[i+1:]...)
-	nv.termPost[t] = np
+	if nv.liveDF(t, cx) == 0 {
+		nv.termAdj-- // id was the term's last live carrier
+	}
 }
 
 // postingsFor returns term's overlay postings, sorted by document ID. The
@@ -368,6 +387,54 @@ func (ov *overlay) postingsFor(term string) []ovPost {
 // df returns how many overlay docs carry term.
 func (ov *overlay) df(term string) int {
 	return len(ov.termPost[term])
+}
+
+// foldDelta resolves an overlay followed by a commit window (nil for none)
+// into mergeIndex's input: the base ids they delete or supersede, and the
+// live documents they leave, sorted by ID with their term frequencies. Only
+// the last write per id counts, and only its document is tokenized (when
+// its op carries no tokens, as in WAL replay). The overlay is read, never
+// written: masked is a copy whenever the window adds to it.
+func foldDelta(ov *overlay, window []*commitReq) (map[string]bool, []deltaDoc) {
+	last := make(map[string]*stagedOp)
+	for _, req := range window {
+		for i := range req.ops {
+			op := &req.ops[i]
+			switch {
+			case op.skip:
+			case op.op == opPut:
+				last[op.doc.ID] = op
+			default:
+				last[op.id] = op
+			}
+		}
+	}
+	masked, own := ov.masked, false
+	delta := make([]deltaDoc, 0, len(ov.byID)+len(last))
+	for id, d := range ov.byID {
+		if _, ok := last[id]; !ok {
+			delta = append(delta, deltaDoc{doc: d, docLen: ov.docLen[id], terms: ov.terms[id]})
+		}
+	}
+	for id, op := range last {
+		if op.op == opDelete {
+			if !own {
+				masked, own = make(map[string]bool, len(ov.masked)+len(last)), true
+				for m := range ov.masked {
+					masked[m] = true
+				}
+			}
+			masked[id] = true
+			continue
+		}
+		tokens := op.tokens
+		if tokens == nil {
+			tokens = op.doc.Tokens()
+		}
+		delta = append(delta, deltaDoc{doc: op.doc, docLen: len(tokens), terms: countTerms(tokens)})
+	}
+	slices.SortFunc(delta, func(a, b deltaDoc) int { return strings.Compare(a.doc.ID, b.doc.ID) })
+	return masked, delta
 }
 
 // overlayLimit bounds overlay size before a freeze: large enough to
@@ -385,8 +452,9 @@ func overlayLimit(baseDocs int) int {
 }
 
 // snapshot is one published epoch: an immutable view of the store.
-// docCount/termCount/visualCount are copied from the master at publish time
-// so Stats and search normalization need no reconstruction.
+// docCount/visualCount are copied from the master and termCount derived
+// from base plus overlay at publish time, so Stats and search
+// normalization need no reconstruction.
 type snapshot struct {
 	epoch       uint64
 	base        *state

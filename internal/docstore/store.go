@@ -46,7 +46,8 @@ type Options struct {
 	// entries); negative disables caching entirely.
 	QueryCacheSize int
 	// Telemetry receives per-operation latency histograms and counters
-	// (docstore.put, docstore.search.*, docstore.compact, WAL replay,
+	// (docstore.put, docstore.search.*, docstore.compact, the recovery
+	// pair docstore.snapshot.load and docstore.wal.replay,
 	// docstore.epoch, docstore.cache.*, the docstore.freeze latency
 	// histogram beside the docstore.snapshot.freezes counter, the
 	// docstore.commit latency histogram every commit window feeds, and
@@ -64,7 +65,7 @@ type storeTel struct {
 	compactErrors                                               *telemetry.Counter
 	epoch                                                       *telemetry.Gauge
 	putLat, deleteLat, textLat, vectorLat, visualLat, hybridLat *telemetry.Histogram
-	compactLat, replayLat, commitLat, freezeLat                 *telemetry.Histogram
+	compactLat, snapLoadLat, replayLat, commitLat, freezeLat    *telemetry.Histogram
 }
 
 func newStoreTel(reg *telemetry.Registry) storeTel {
@@ -93,9 +94,13 @@ func newStoreTel(reg *telemetry.Registry) storeTel {
 		visualLat:     reg.Histogram("docstore.search.visual"),
 		hybridLat:     reg.Histogram("docstore.search.hybrid"),
 		compactLat:    reg.Histogram("docstore.compact"),
-		replayLat:     reg.Histogram("docstore.wal.replay"),
-		commitLat:     reg.Histogram("docstore.commit"),
-		freezeLat:     reg.Histogram("docstore.freeze"),
+		// Recovery, one observation each per durable Open: loading the
+		// compiled base from the snapshot file, then replaying the WAL
+		// tail and merging it into that base.
+		snapLoadLat: reg.Histogram("docstore.snapshot.load"),
+		replayLat:   reg.Histogram("docstore.wal.replay"),
+		commitLat:   reg.Histogram("docstore.commit"),
+		freezeLat:   reg.Histogram("docstore.freeze"),
 	}
 }
 
@@ -152,8 +157,8 @@ type Store struct {
 	blocksSkipped atomic.Uint64
 }
 
-// Open creates or recovers a store. With a Dir, it replays the snapshot and
-// WAL, truncating any torn tail left by a crash.
+// Open creates or recovers a store. With a Dir, it loads the snapshot and
+// replays the WAL, truncating any torn tail left by a crash.
 func Open(opts Options) (*Store, error) {
 	if opts.ConceptDim <= 0 {
 		opts.ConceptDim = 64
@@ -172,13 +177,17 @@ func Open(opts Options) (*Store, error) {
 		tokens: newTokenMemo(opts.Telemetry),
 	}
 	if opts.Dir == "" {
-		s.installLocked(&snapshot{epoch: 1, base: s.master.freeze(), ov: &overlay{}})
+		s.installLocked(&snapshot{epoch: 1, base: s.master.freeze(mergeIndex(nil, nil, nil)), ov: &overlay{}})
 		return s, nil
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("docstore: creating dir: %w", err)
 	}
 	snapPath, walPath := snapshotPaths(opts.Dir)
+	// Log records update the master's non-text structures as they replay
+	// and collect into one window, which is merged into the compiled base
+	// once at the end.
+	var tail commitReq
 	apply := func(op uint8, payload []byte) error {
 		s.tel.walRecords.Inc()
 		switch op {
@@ -187,17 +196,21 @@ func Open(opts Options) (*Store, error) {
 			if err != nil {
 				return err
 			}
-			s.master.applyPut(d, d.Tokens())
+			s.master.applyPut(d)
+			tail.ops = append(tail.ops, stagedOp{op: opPut, doc: d})
 		case opDelete:
-			s.master.applyDelete(string(payload))
+			id := string(payload)
+			s.master.applyDelete(id)
+			tail.ops = append(tail.ops, stagedOp{op: opDelete, id: id})
 		}
 		return nil
 	}
-	replayStart := time.Now()
+	loadStart := time.Now()
 	// Snapshot files carry a versioned header. The compiled (v2) format
-	// loads postings blocks directly — no per-document re-tokenization;
-	// legacy snapshots (WAL-format record streams) replay as before.
-	loaded, err := loadSnapshotFile(snapPath, s.master)
+	// becomes the base directly — its postings blocks are adopted, no
+	// document is re-tokenized; a legacy snapshot (a WAL-format record
+	// stream) replays into the tail like the log itself.
+	cx, loaded, err := loadSnapshotFile(snapPath, s.master)
 	if err != nil {
 		return nil, err
 	}
@@ -206,10 +219,14 @@ func Open(opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
+	s.tel.snapLoadLat.Observe(time.Since(loadStart))
+	replayStart := time.Now()
 	clean, torn, err := replayWAL(walPath, apply)
 	if err != nil {
 		return nil, err
 	}
+	masked, delta := foldDelta(&overlay{}, []*commitReq{&tail})
+	cx = mergeIndex(cx, masked, delta)
 	s.tel.replayLat.Observe(time.Since(replayStart))
 	if torn {
 		if err := truncateWAL(walPath, clean); err != nil {
@@ -223,7 +240,7 @@ func Open(opts Options) (*Store, error) {
 	s.walBytes.Store(s.log.size)
 	// One publish for the whole replay: per-record publishing would make
 	// recovery O(n) snapshot churn for nothing.
-	s.installLocked(&snapshot{epoch: 1, base: s.master.freeze(), ov: &overlay{}})
+	s.installLocked(&snapshot{epoch: 1, base: s.master.freeze(cx), ov: &overlay{}})
 	s.startCommitter()
 	return s, nil
 }
@@ -233,18 +250,23 @@ func Open(opts Options) (*Store, error) {
 // escapes).
 func (s *Store) installLocked(sn *snapshot) {
 	sn.docCount = len(s.master.docs)
-	sn.termCount = s.master.inv.termCount()
+	sn.termCount = len(sn.base.cx.termList) + sn.ov.termAdj
 	sn.visualCount = s.master.visuals
 	s.snap.Store(sn)
 	s.tel.epoch.Set(float64(sn.epoch))
 }
 
-// freezeLocked publishes a fresh deep-cloned base with an empty overlay —
-// the coalescing point that keeps overlays small. docstore.freeze times the
-// deep clone and compile.
-func (s *Store) freezeLocked(epoch uint64) {
+// freezeLocked publishes a fresh base with an empty overlay at epoch — the
+// coalescing point that keeps overlays small. The base's text index merges
+// the published base with its overlay and the window, the commit window
+// being published (the master already holds its ops); the base's other
+// structures are deep-cloned from the master. docstore.freeze times the
+// merge and the clone.
+func (s *Store) freezeLocked(epoch uint64, window ...*commitReq) {
 	start := time.Now()
-	base := s.master.freeze()
+	cur := s.snap.Load()
+	masked, delta := foldDelta(cur.ov, window)
+	base := s.master.freeze(mergeIndex(cur.base.cx, masked, delta))
 	s.tel.freezeLat.Observe(time.Since(start))
 	s.tel.freezes.Inc()
 	s.installLocked(&snapshot{epoch: epoch, base: base, ov: &overlay{}})
@@ -271,7 +293,7 @@ func (s *Store) publishWindowLocked(window []*commitReq) {
 		return
 	}
 	if cur.ov.ops+n > overlayLimit(len(cur.base.docs)) {
-		s.freezeLocked(cur.epoch + 1)
+		s.freezeLocked(cur.epoch+1, window...)
 		return
 	}
 	nv := cur.ov.cloneNextN(n)
@@ -707,11 +729,13 @@ func (s *Store) compactOnce() error {
 	s.mu.Unlock()
 
 	// Phase 2 (no lock): merge the overlay into the compiled base — by
-	// decoding postings blocks, never by re-tokenizing documents — compile
-	// the live set, and write it as a v2 snapshot into a temp file.
+	// decoding postings blocks, never by re-tokenizing documents; with an
+	// empty overlay the base is the live set as it is — and write it as a
+	// v2 snapshot into a temp file.
 	snapPath, walPath := snapshotPaths(s.opts.Dir)
 	tmp := snapPath + ".tmp"
-	merged := mergeLiveSet(sn)
+	masked, delta := foldDelta(sn.ov, nil)
+	merged := mergeIndex(sn.base.cx, masked, delta)
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("docstore: creating snapshot: %w", err)

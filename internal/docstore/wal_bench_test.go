@@ -200,3 +200,89 @@ func benchmarkBulkLoad(b *testing.B, durable bool) {
 
 func BenchmarkBulkLoadInMemory(b *testing.B) { benchmarkBulkLoad(b, false) }
 func BenchmarkBulkLoadDurable(b *testing.B)  { benchmarkBulkLoad(b, true) }
+
+// BenchmarkReopen measures cold start of a compacted 16k-document store —
+// the scatter shard size: each op opens the directory (loading the v2
+// snapshot into the compiled base, replaying an empty WAL tail, publishing
+// the first epoch) and closes it again. allocs/op counts what recovery
+// builds.
+func BenchmarkReopen(b *testing.B) {
+	const n = 16 << 10
+	r := rand.New(rand.NewSource(42))
+	docs := make([]*Document, n)
+	for i := range docs {
+		docs[i] = benchDoc(r, i)
+	}
+	opts := Options{Dir: b.TempDir(), ConceptDim: 8, Seed: 1}
+	s, err := Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.PutBatch(docs); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.Len() != n {
+			b.Fatalf("reopened %d documents, want %d", s.Len(), n)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The Freeze benchmarks time one freeze of an in-memory store holding n
+// documents: untimed, a batch fills the overlay to its limit with
+// replacements of random base documents; timed, one more Put pushes it
+// over, and its commit window merges the overlay into a new base (and
+// deep-clones the master's other structures). freezes/op must read 1.
+func benchmarkFreeze(b *testing.B, n int) {
+	r := rand.New(rand.NewSource(42))
+	docs := make([]*Document, n)
+	for i := range docs {
+		docs[i] = benchDoc(r, i)
+	}
+	reg := telemetry.NewRegistry()
+	s, err := Open(Options{ConceptDim: 8, Seed: 1, QueryCacheSize: -1, Telemetry: reg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.PutBatch(docs); err != nil {
+		b.Fatal(err)
+	}
+	freezes := reg.Counter("docstore.snapshot.freezes")
+	fill := make([]*Document, overlayLimit(n))
+	f0 := freezes.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := range fill {
+			fill[j] = benchDoc(r, r.Intn(n))
+		}
+		if err := s.PutBatch(fill); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := s.Put(benchDoc(r, r.Intn(n))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(freezes.Value()-f0)/float64(b.N), "freezes/op")
+}
+
+func BenchmarkFreeze8k(b *testing.B)  { benchmarkFreeze(b, 8<<10) }
+func BenchmarkFreeze32k(b *testing.B) { benchmarkFreeze(b, 32<<10) }

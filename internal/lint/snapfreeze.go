@@ -14,14 +14,16 @@ import (
 // is stored, every byte behind it must stay frozen, or readers race.
 //
 //   - snapshot is assembled and published by installLocked;
-//   - compiledIndex is built only by compileIndex (the load path and
-//     compaction both return through it);
+//   - compiledIndex is built only by mergeIndex (every freeze,
+//     compaction, bulk load and WAL-tail recovery), with its addDoc and
+//     addTerm append steps, and by decodeSnapshot, the v2 snapshot loader
+//     that adopts a file's blocks;
 //   - overlay is copy-on-write: the clone/fold family builds the next
 //     overlay value, and nothing mutates a published one.
 var snapfreezeFrozen = map[string]map[string][]string{
 	"internal/docstore": {
 		"snapshot":      {"installLocked"},
-		"compiledIndex": {"compileIndex"},
+		"compiledIndex": {"mergeIndex", "addDoc", "addTerm", "decodeSnapshot"},
 		"overlay": {
 			"cloneNextN", "dropID", "insertTime", "removeTime",
 			"putDoc", "deleteDoc",

@@ -29,12 +29,27 @@ type Store struct {
 	current *snapshot
 }
 
-// compileIndex is the compiledIndex constructor: assignments are legal
-// while the value is still private to the builder.
-func compileIndex(terms []string) *compiledIndex {
+// mergeIndex is the compiledIndex builder: assignments are legal while the
+// value is still private to it, including those of its append steps.
+func mergeIndex(terms []string) *compiledIndex {
 	cx := &compiledIndex{}
-	cx.terms = terms
-	cx.norms = make([]float64, len(terms))
+	cx.norms = make([]float64, 0, len(terms))
+	for _, t := range terms {
+		cx.addTerm(t)
+	}
+	return cx
+}
+
+// addTerm is one of mergeIndex's append steps: legal.
+func (cx *compiledIndex) addTerm(t string) {
+	cx.terms = append(cx.terms, t)
+	cx.norms = append(cx.norms, 1)
+}
+
+// decodeSnapshot is the snapshot loader, the other constructor: legal.
+func decodeSnapshot(raw []byte) *compiledIndex {
+	cx := &compiledIndex{}
+	cx.terms = []string{string(raw)}
 	return cx
 }
 
@@ -43,7 +58,7 @@ func compileIndex(terms []string) *compiledIndex {
 func (s *Store) installLocked(next state) {
 	sn := &snapshot{}
 	sn.base = next
-	sn.cx = compileIndex(nil)
+	sn.cx = mergeIndex(nil)
 	sn.docCount = len(next.docs)
 	sn.epoch++
 	s.current = sn // Store is not frozen: republishing the pointer is the design

@@ -263,6 +263,12 @@ func (r *Reader) F64s() []float64 {
 		r.fail(fmt.Errorf("%w: f64s %d", ErrTooLarge, n))
 		return nil
 	}
+	if n > uint64(r.Remaining()/8) {
+		// Fail before allocating: a count the bytes cannot back must not
+		// size an allocation.
+		r.fail(ErrShortBuffer)
+		return nil
+	}
 	if n == 0 {
 		return nil
 	}
@@ -281,6 +287,12 @@ func (r *Reader) U64s() []uint64 {
 	n := r.Uvarint()
 	if n > MaxBlob/8 {
 		r.fail(fmt.Errorf("%w: u64s %d", ErrTooLarge, n))
+		return nil
+	}
+	if n > uint64(r.Remaining()/8) {
+		// Fail before allocating: a count the bytes cannot back must not
+		// size an allocation.
+		r.fail(ErrShortBuffer)
 		return nil
 	}
 	if n == 0 {
